@@ -1,7 +1,9 @@
 //! Kernel, codec, and relay throughput report.
 //!
 //! Measures the GF(2^8) bulk kernels (every compiled tier the CPU
-//! supports), the RLNC encode/recode paths, the relay data path
+//! supports, single-row and fused `linear_combine` at g = 4/16/32), the
+//! RLNC encode/recode paths and their L1/L0 ratio to the active tier's
+//! fused kernel, the relay data path
 //! (legacy per-packet-allocation pipeline vs the zero-alloc
 //! [`relay_step`] pipeline), and the observability layer's overhead
 //! (instrumented vs bare relay step, plus an `NC_STATS` round trip),
@@ -67,7 +69,12 @@ impl Timing {
     /// Median bytes/sec over `repeats` runs of `work`, where one call to
     /// `work` processes `bytes_per_iter` bytes. Each run loops `work`
     /// until `min_duration_secs` has elapsed.
-    fn measure(&self, bytes_per_iter: usize, mut work: impl FnMut()) -> f64 {
+    fn measure(&self, bytes_per_iter: usize, work: impl FnMut()) -> f64 {
+        self.measure_spread(bytes_per_iter, work).median
+    }
+
+    /// Like [`measure`](Self::measure), with the p10/p90 of the repeats.
+    fn measure_spread(&self, bytes_per_iter: usize, mut work: impl FnMut()) -> Spread {
         let mut rates = Vec::with_capacity(self.repeats);
         // Warm-up: page in buffers, settle the frequency governor.
         for _ in 0..3 {
@@ -87,16 +94,35 @@ impl Timing {
             rates.push(iters as f64 * bytes_per_iter as f64 / secs);
         }
         rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are finite"));
-        rates[rates.len() / 2]
+        let at = |q: f64| rates[((rates.len() - 1) as f64 * q).round() as usize];
+        Spread {
+            median: at(0.5),
+            p10: at(0.1),
+            p90: at(0.9),
+        }
     }
+}
+
+/// Median and p10/p90 of a row's repeats, in bytes/sec.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    p10: f64,
+    p90: f64,
 }
 
 struct KernelRow {
     tier: &'static str,
     op: &'static str,
     payload_len: usize,
-    bytes_per_sec: f64,
+    /// Source rows per call (`linear_combine` rows only).
+    rows: Option<usize>,
+    rate: Spread,
 }
+
+/// Source-row counts of the fused `linear_combine` kernel rows (and of
+/// the L1/L0 ratios built on them).
+const FUSED_ROWS: [usize; 3] = [4, 16, 32];
 
 struct CodecRow {
     mode: &'static str,
@@ -118,7 +144,7 @@ fn bench_kernels(timing: &Timing) -> Vec<KernelRow> {
             continue;
         }
         let c = 0x53u8; // arbitrary non-trivial coefficient
-        let mul_add = timing.measure(PAYLOAD_LEN, || {
+        let mul_add = timing.measure_spread(PAYLOAD_LEN, || {
             tier.mul_add_slice(&mut dst, &src, c);
             std::hint::black_box(&dst);
         });
@@ -126,9 +152,10 @@ fn bench_kernels(timing: &Timing) -> Vec<KernelRow> {
             tier: tier.name(),
             op: "mul_add_slice",
             payload_len: PAYLOAD_LEN,
-            bytes_per_sec: mul_add,
+            rows: None,
+            rate: mul_add,
         });
-        let mul = timing.measure(PAYLOAD_LEN, || {
+        let mul = timing.measure_spread(PAYLOAD_LEN, || {
             tier.mul_slice(&mut dst, &src, c);
             std::hint::black_box(&dst);
         });
@@ -136,8 +163,33 @@ fn bench_kernels(timing: &Timing) -> Vec<KernelRow> {
             tier: tier.name(),
             op: "mul_slice",
             payload_len: PAYLOAD_LEN,
-            bytes_per_sec: mul,
+            rows: None,
+            rate: mul,
         });
+        // The fused multi-row kernel: one 1460-byte coded row from g
+        // source rows per call, counted in output bytes like the codec
+        // rows, so codec ÷ kernel is the L1/L0 ratio.
+        for g in FUSED_ROWS {
+            let sources: Vec<Vec<u8>> = (0..g)
+                .map(|_| {
+                    let mut row = vec![0u8; PAYLOAD_LEN];
+                    rng.fill(&mut row[..]);
+                    row
+                })
+                .collect();
+            let coeffs: Vec<u8> = (0..g).map(|_| rng.gen_range(1..=255u8)).collect();
+            let rate = timing.measure_spread(PAYLOAD_LEN, || {
+                tier.linear_combine(&mut dst, &coeffs, &sources);
+                std::hint::black_box(&dst);
+            });
+            rows.push(KernelRow {
+                tier: tier.name(),
+                op: "linear_combine",
+                payload_len: PAYLOAD_LEN,
+                rows: Some(g),
+                rate,
+            });
+        }
     }
     rows
 }
@@ -1648,8 +1700,21 @@ fn main() {
     let scalar_mul_add = kernels
         .iter()
         .find(|r| r.tier == "scalar" && r.op == "mul_add_slice")
-        .map(|r| r.bytes_per_sec)
+        .map(|r| r.rate.median)
         .unwrap_or(f64::NAN);
+    // L1/L0: each codec row over the active tier's fused kernel row at
+    // the same g — the share of the raw kernel rate the codec path keeps
+    // (above 1 where the mode does less than g rows of kernel work).
+    let active = bulk::kernel_tier().name();
+    let l1_over_l0: Vec<(&CodecRow, f64)> = codec
+        .iter()
+        .filter_map(|r| {
+            let kernel = kernels.iter().find(|k| {
+                k.tier == active && k.op == "linear_combine" && k.rows == Some(r.generation_size)
+            })?;
+            Some((r, r.bytes_per_sec / kernel.rate.median))
+        })
+        .collect();
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -1662,11 +1727,15 @@ fn main() {
     let _ = writeln!(json, "  \"payload_len\": {PAYLOAD_LEN},");
     json.push_str("  \"kernels\": [\n");
     for (i, r) in kernels.iter().enumerate() {
-        let speedup = r.bytes_per_sec / scalar_mul_add;
+        let speedup = r.rate.median / scalar_mul_add;
+        let rows = r
+            .rows
+            .map(|g| format!("\"rows\": {g}, "))
+            .unwrap_or_default();
         let _ = write!(
             json,
-            "    {{\"tier\": \"{}\", \"op\": \"{}\", \"payload_len\": {}, \"bytes_per_sec\": {:.0}, \"speedup_vs_scalar_mul_add\": {:.2}}}",
-            r.tier, r.op, r.payload_len, r.bytes_per_sec, speedup
+            "    {{\"tier\": \"{}\", \"op\": \"{}\", {rows}\"payload_len\": {}, \"bytes_per_sec\": {:.0}, \"p10_bytes_per_sec\": {:.0}, \"p90_bytes_per_sec\": {:.0}, \"speedup_vs_scalar_mul_add\": {:.2}}}",
+            r.tier, r.op, r.payload_len, r.rate.median, r.rate.p10, r.rate.p90, speedup
         );
         json.push_str(if i + 1 < kernels.len() { ",\n" } else { "\n" });
     }
@@ -1679,6 +1748,20 @@ fn main() {
             r.mode, r.path, r.generation_size, r.block_size, r.bytes_per_sec
         );
         json.push_str(if i + 1 < codec.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"l1_over_l0\": [\n");
+    for (i, (r, ratio)) in l1_over_l0.iter().enumerate() {
+        let _ = write!(
+            json,
+            "    {{\"mode\": \"{}\", \"path\": \"{}\", \"generation_size\": {}, \"kernel_tier\": \"{active}\", \"ratio\": {ratio:.3}}}",
+            r.mode, r.path, r.generation_size
+        );
+        json.push_str(if i + 1 < l1_over_l0.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"sliding_window\": {{");

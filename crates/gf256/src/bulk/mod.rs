@@ -1,26 +1,35 @@
 //! Bulk slice kernels over GF(2^8), with runtime-dispatched tiers.
 //!
-//! The RLNC hot path multiplies whole packet payloads (≈1460 bytes) by a
-//! single coefficient and accumulates them: `dst[i] ^= c * src[i]`. Three
-//! kernel implementations cover the hardware spectrum:
+//! The RLNC hot path builds every coded row as a linear combination of
+//! buffered rows (≈1460-byte payloads and g-byte coefficient vectors):
+//! `out ^= Σ cᵢ·rowᵢ`. [`mul_add_rows`] computes that sum in one fused
+//! pass per block of `out` — the block is loaded once, accumulates every
+//! source row in registers, and is stored once (the ISA-L
+//! `gf_vect_dot_prod` pattern) — instead of one read-modify-write pass of
+//! `out` per row. Four kernel implementations cover the hardware
+//! spectrum:
 //!
 //! * [`KernelTier::Scalar`] — one 256-entry product-table lookup plus one
-//!   XOR per byte. Portable baseline; works everywhere.
+//!   XOR per byte. Portable reference; works everywhere.
 //! * [`KernelTier::Swar`] — branchless Russian-peasant bit ladder over
 //!   `u64` words (8 bytes per lane, four lanes per step). Safe Rust whose
 //!   straight-line shift/XOR structure LLVM auto-vectorizes.
-//! * [`KernelTier::Ssse3`] / [`KernelTier::Avx2`] — explicit x86_64
-//!   `pshufb` kernels using 16-entry low/high-nibble product tables,
-//!   16 (SSSE3) or 32 (AVX2) bytes per shuffle pair.
+//! * [`KernelTier::Avx2`] — explicit x86_64 `vpshufb` kernel using
+//!   16-entry low/high-nibble product tables, 32 bytes per shuffle pair.
 //! * [`KernelTier::Gfni`] — GFNI + AVX-512 `vgf2p8affineqb` kernel, 64
 //!   bytes per instruction via a per-coefficient 8×8 bit matrix (the
-//!   field's 0x11D polynomial rules out the hardwired-0x11B `gf2p8mulb`).
+//!   field's 0x11D polynomial rules out the hardwired-0x11B `gf2p8mulb`),
+//!   with masked loads/stores for the sub-64-byte tail.
+//!
+//! The per-coefficient constants of the vector tiers (GFNI matrices, AVX2
+//! nibble tables) are computed at compile time, so no call rebuilds them.
+//! The scalar and SWAR tiers' fused entry point loops over rows.
 //!
 //! The fastest tier the CPU supports is selected once per process (see
 //! [`kernel_tier`]); every public entry point below then routes through it.
-//! Set `NCVNF_GF256_KERNEL=scalar|swar|ssse3|avx2|gfni` before first use
-//! to pin a specific tier (benchmarking, differential testing); forcing a
-//! tier the CPU cannot run panics rather than silently falling back.
+//! Set `NCVNF_GF256_KERNEL=scalar|swar|avx2|gfni` before first use to pin
+//! a specific tier (benchmarking, differential testing); forcing a tier
+//! the CPU cannot run panics rather than silently falling back.
 //!
 //! All functions interpret `&[u8]` as a vector of GF(2^8) elements.
 
@@ -43,8 +52,6 @@ pub enum KernelTier {
     Scalar,
     /// SWAR bit ladder over `u64` words (safe Rust, auto-vectorizable).
     Swar,
-    /// x86_64 SSSE3 `pshufb` nibble-table kernel (16 bytes per step).
-    Ssse3,
     /// x86_64 AVX2 `vpshufb` nibble-table kernel (32 bytes per step).
     Avx2,
     /// x86_64 GFNI + AVX-512 `vgf2p8affineqb` kernel (64 bytes per step).
@@ -57,7 +64,6 @@ impl KernelTier {
         match self {
             KernelTier::Scalar => "scalar",
             KernelTier::Swar => "swar",
-            KernelTier::Ssse3 => "ssse3",
             KernelTier::Avx2 => "avx2",
             KernelTier::Gfni => "gfni",
         }
@@ -68,7 +74,6 @@ impl KernelTier {
         match name {
             "scalar" => Some(KernelTier::Scalar),
             "swar" => Some(KernelTier::Swar),
-            "ssse3" => Some(KernelTier::Ssse3),
             "avx2" => Some(KernelTier::Avx2),
             "gfni" => Some(KernelTier::Gfni),
             _ => None,
@@ -79,8 +84,6 @@ impl KernelTier {
     pub fn is_supported(self) -> bool {
         match self {
             KernelTier::Scalar | KernelTier::Swar => true,
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
@@ -105,7 +108,7 @@ impl KernelTier {
         match c {
             0 => dst.fill(0),
             1 => dst.copy_from_slice(src),
-            _ => self.ops().mul.call_mul(dst, src, c),
+            _ => (self.ops().mul)(dst, src, c),
         }
     }
 
@@ -119,7 +122,7 @@ impl KernelTier {
         match c {
             0 => {}
             1 => add_slice(dst, src),
-            _ => self.ops().mul_add.call_mul(dst, src, c),
+            _ => (self.ops().mul_add_rows)(dst, &[c], &[src]),
         }
     }
 
@@ -132,8 +135,31 @@ impl KernelTier {
         match c {
             0 => dst.fill(0),
             1 => {}
-            _ => self.ops().scale.call_scale(dst, c),
+            _ => (self.ops().scale)(dst, c),
         }
+    }
+
+    /// `out[j] ^= Σᵢ coeffs[i] * rows[i][j]` using this tier specifically
+    /// (see [`mul_add_rows`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a count or length mismatch, or if the tier is
+    /// unsupported here.
+    pub fn mul_add_rows<R: AsRef<[u8]>>(self, out: &mut [u8], coeffs: &[u8], rows: &[R]) {
+        fused_rows(self.ops(), out, coeffs, rows);
+    }
+
+    /// `out = Σᵢ coeffs[i] * rows[i]` using this tier specifically (see
+    /// [`linear_combine`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a count or length mismatch, or if the tier is
+    /// unsupported here.
+    pub fn linear_combine<R: AsRef<[u8]>>(self, out: &mut [u8], coeffs: &[u8], rows: &[R]) {
+        out.fill(0);
+        self.mul_add_rows(out, coeffs, rows);
     }
 
     fn ops(self) -> &'static Ops {
@@ -146,8 +172,6 @@ impl KernelTier {
             KernelTier::Scalar => &SCALAR_OPS,
             KernelTier::Swar => &SWAR_OPS,
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Ssse3 => &x86::SSSE3_OPS,
-            #[cfg(target_arch = "x86_64")]
             KernelTier::Avx2 => &x86::AVX2_OPS,
             #[cfg(target_arch = "x86_64")]
             KernelTier::Gfni => &gfni::GFNI_OPS,
@@ -157,47 +181,82 @@ impl KernelTier {
     }
 }
 
-/// Function-pointer slot: `dst[..] op= c * src[..]` with `c >= 2`.
-#[derive(Clone, Copy)]
-pub(crate) struct MulFn(pub(crate) fn(&mut [u8], &[u8], u8));
-
-/// Function-pointer slot: `dst[..] = c * dst[..]` with `c >= 2`.
-#[derive(Clone, Copy)]
-pub(crate) struct ScaleFn(pub(crate) fn(&mut [u8], u8));
-
-impl MulFn {
-    #[inline]
-    fn call_mul(self, dst: &mut [u8], src: &[u8], c: u8) {
-        (self.0)(dst, src, c)
-    }
-}
-
-impl ScaleFn {
-    #[inline]
-    fn call_scale(self, dst: &mut [u8], c: u8) {
-        (self.0)(dst, c)
-    }
-}
-
-/// The three coefficient-dependent entry points of one kernel tier
+/// The coefficient-dependent entry points of one kernel tier
 /// (`add_slice` is coefficient-free and shared by all tiers).
 pub(crate) struct Ops {
-    pub(crate) mul: MulFn,
-    pub(crate) mul_add: MulFn,
-    pub(crate) scale: ScaleFn,
+    /// `dst[..] = c * src[..]` with `c >= 2`.
+    pub(crate) mul: fn(&mut [u8], &[u8], u8),
+    /// `dst[..] = c * dst[..]` with `c >= 2`.
+    pub(crate) scale: fn(&mut [u8], u8),
+    /// `out[..] ^= Σ coeffs[i] * rows[i][..]` over at most [`ROW_GROUP`]
+    /// rows, every coefficient nonzero and every row as long as `out`
+    /// (`mul_add_slice` is its one-row case).
+    pub(crate) mul_add_rows: fn(&mut [u8], &[u8], &[&[u8]]),
 }
 
 static SCALAR_OPS: Ops = Ops {
-    mul: MulFn(scalar::mul_slice),
-    mul_add: MulFn(scalar::mul_add_slice),
-    scale: ScaleFn(scalar::scale_slice),
+    mul: scalar::mul_slice,
+    scale: scalar::scale_slice,
+    mul_add_rows: scalar::mul_add_rows,
 };
 
 static SWAR_OPS: Ops = Ops {
-    mul: MulFn(swar::mul_slice),
-    mul_add: MulFn(swar::mul_add_slice),
-    scale: ScaleFn(swar::scale_slice),
+    mul: swar::mul_slice,
+    scale: swar::scale_slice,
+    mul_add_rows: swar::mul_add_rows,
 };
+
+/// Rows one fused kernel call accumulates per pass over `out`. Longer
+/// combinations run as consecutive passes of at most this many rows, so
+/// the row-pointer array stays a fixed-size stack array.
+const ROW_GROUP: usize = 32;
+
+/// `a * b` in GF(2^8) by shift-and-add, usable in `const` context (the
+/// vector tiers derive their per-coefficient constant tables from it at
+/// compile time).
+pub(crate) const fn const_mul(a: u8, b: u8) -> u8 {
+    let mut a = a as u16;
+    let mut b = b;
+    let mut product = 0u16;
+    while b != 0 {
+        if b & 1 != 0 {
+            product ^= a;
+        }
+        a <<= 1;
+        if a & 0x100 != 0 {
+            a ^= crate::gf256::POLY as u16;
+        }
+        b >>= 1;
+    }
+    product as u8
+}
+
+/// Splits `Σ coeffs[i] * rows[i]` into stack-array groups of at most
+/// [`ROW_GROUP`] nonzero-coefficient rows and hands each group to the
+/// tier's fused kernel.
+fn fused_rows<R: AsRef<[u8]>>(ops: &Ops, out: &mut [u8], coeffs: &[u8], rows: &[R]) {
+    assert_eq!(coeffs.len(), rows.len(), "coefficient/row count mismatch");
+    let mut group_coeffs = [0u8; ROW_GROUP];
+    let mut group_rows: [&[u8]; ROW_GROUP] = [&[]; ROW_GROUP];
+    let mut n = 0;
+    for (&c, row) in coeffs.iter().zip(rows) {
+        let row = row.as_ref();
+        assert_eq!(row.len(), out.len(), "slice length mismatch");
+        // Branch-free compaction: a zero-coefficient row is written into
+        // the next slot but not kept, so sparse random coefficient
+        // patterns cost no mispredicted branches.
+        group_coeffs[n] = c;
+        group_rows[n] = row;
+        n += usize::from(c != 0);
+        if n == ROW_GROUP {
+            (ops.mul_add_rows)(out, &group_coeffs, &group_rows);
+            n = 0;
+        }
+    }
+    if n > 0 {
+        (ops.mul_add_rows)(out, &group_coeffs[..n], &group_rows[..n]);
+    }
+}
 
 /// Every tier compiled into this binary, slowest first (the x86 tiers are
 /// listed even when the CPU lacks them — pair with
@@ -208,7 +267,6 @@ pub fn compiled_tiers() -> &'static [KernelTier] {
         &[
             KernelTier::Scalar,
             KernelTier::Swar,
-            KernelTier::Ssse3,
             KernelTier::Avx2,
             KernelTier::Gfni,
         ]
@@ -222,7 +280,7 @@ pub fn compiled_tiers() -> &'static [KernelTier] {
 fn select_tier() -> KernelTier {
     if let Ok(name) = std::env::var("NCVNF_GF256_KERNEL") {
         let tier = KernelTier::from_name(name.trim()).unwrap_or_else(|| {
-            panic!("NCVNF_GF256_KERNEL={name:?} is not one of scalar|swar|ssse3|avx2|gfni")
+            panic!("NCVNF_GF256_KERNEL={name:?} is not one of scalar|swar|avx2|gfni")
         });
         assert!(
             tier.is_supported(),
@@ -282,7 +340,7 @@ pub fn scale_slice(dst: &mut [u8], c: u8) {
     match c {
         0 => dst.fill(0),
         1 => {}
-        _ => active_ops().scale.call_scale(dst, c),
+        _ => (active_ops().scale)(dst, c),
     }
 }
 
@@ -296,7 +354,7 @@ pub fn mul_slice(dst: &mut [u8], src: &[u8], c: u8) {
     match c {
         0 => dst.fill(0),
         1 => dst.copy_from_slice(src),
-        _ => active_ops().mul.call_mul(dst, src, c),
+        _ => (active_ops().mul)(dst, src, c),
     }
 }
 
@@ -320,12 +378,38 @@ pub fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
     match c {
         0 => {}
         1 => add_slice(dst, src),
-        _ => active_ops().mul_add.call_mul(dst, src, c),
+        _ => (active_ops().mul_add_rows)(dst, &[c], &[src]),
     }
 }
 
+/// `out[j] ^= Σᵢ coeffs[i] * rows[i][j]` — one coded row accumulated from
+/// many source rows in a single fused pass.
+///
+/// This is the RLNC inner loop: the encoder, recoder and decoders build
+/// every coded or eliminated row through it. Rows with a zero
+/// coefficient are skipped without being read.
+///
+/// # Panics
+///
+/// Panics if `coeffs.len() != rows.len()` or if any row's length differs
+/// from `out.len()`.
+///
+/// # Examples
+///
+/// ```
+/// use ncvnf_gf256::bulk::mul_add_rows;
+/// let rows = [vec![1u8, 0, 0], vec![0u8, 1, 0]];
+/// let mut acc = vec![0u8, 0, 9];
+/// mul_add_rows(&mut acc, &[5, 7], &rows);
+/// assert_eq!(acc, vec![5, 7, 9]);
+/// ```
+pub fn mul_add_rows<R: AsRef<[u8]>>(out: &mut [u8], coeffs: &[u8], rows: &[R]) {
+    fused_rows(active_ops(), out, coeffs, rows);
+}
+
 /// Dot product of a coefficient vector with a matrix of rows:
-/// `out = Σ_i coeffs[i] * rows[i]`.
+/// `out = Σ_i coeffs[i] * rows[i]` (the zeroing wrapper of
+/// [`mul_add_rows`]).
 ///
 /// This is exactly "compute one coded packet from a generation".
 ///
@@ -333,12 +417,9 @@ pub fn mul_add_slice(dst: &mut [u8], src: &[u8], c: u8) {
 ///
 /// Panics if `coeffs.len() != rows.len()`, if any row's length differs from
 /// `out.len()`.
-pub fn linear_combine(out: &mut [u8], coeffs: &[u8], rows: &[&[u8]]) {
-    assert_eq!(coeffs.len(), rows.len(), "coefficient/row count mismatch");
+pub fn linear_combine<R: AsRef<[u8]>>(out: &mut [u8], coeffs: &[u8], rows: &[R]) {
     out.fill(0);
-    for (&c, row) in coeffs.iter().zip(rows) {
-        mul_add_slice(out, row, c);
-    }
+    mul_add_rows(out, coeffs, rows);
 }
 
 #[cfg(test)]

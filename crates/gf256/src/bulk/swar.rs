@@ -12,8 +12,9 @@
 //! widest vector unit the target allows — without this crate shipping any
 //! `unsafe`.
 //!
-//! All entry points require `c >= 2`; the `0`/`1` fast paths live in the
-//! dispatch layer.
+//! The single-row entry points require `c >= 2` (the `0`/`1` fast paths
+//! live in the dispatch layer); the fused entry point takes any nonzero
+//! coefficient.
 
 /// Bit 0 of every byte lane.
 const ONES: u64 = 0x0101_0101_0101_0101;
@@ -107,6 +108,14 @@ macro_rules! swar_kernel {
 
 swar_kernel!(mul_slice, |d, p| p);
 swar_kernel!(mul_add_slice, |d, p| xor_chunks(d, p));
+
+/// The fused entry point loops over rows: the SWAR ladder is
+/// compute-bound, so re-reading `out` per row costs little.
+pub(super) fn mul_add_rows(out: &mut [u8], coeffs: &[u8], rows: &[&[u8]]) {
+    for (&c, row) in coeffs.iter().zip(rows) {
+        mul_add_slice(out, row, c);
+    }
+}
 
 pub(super) fn scale_slice(dst: &mut [u8], c: u8) {
     const STEP: usize = LANES * 8;

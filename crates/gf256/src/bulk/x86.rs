@@ -1,12 +1,12 @@
-//! Explicit x86_64 SIMD kernels: GF(2^8) constant multiplication via
-//! `pshufb` nibble-table lookups.
+//! Explicit x86_64 AVX2 kernel: GF(2^8) constant multiplication via
+//! `vpshufb` nibble-table lookups.
 //!
 //! `c * x` splits over the low/high nibble of each byte:
 //! `c*x = c*(x & 0x0F) ⊕ c*(x >> 4 << 4)`. Both partial products come from
-//! 16-entry tables derived from the full product row, and `pshufb` looks up
-//! 16 (SSE) or 32 (AVX2) lanes per instruction. This is the classic
-//! vectorized Reed-Solomon/RLNC kernel (ISA-L, kodo, klauspost/reedsolomon
-//! all use it).
+//! 16-entry tables, and `vpshufb` looks up 32 lanes per instruction. This
+//! is the classic vectorized Reed-Solomon/RLNC kernel (ISA-L, kodo,
+//! klauspost/reedsolomon all use it). The table pair of every coefficient
+//! is computed at compile time ([`NIBBLES`]).
 //!
 //! Safety: each `#[target_feature]` function is only reachable through the
 //! dispatch table after `is_x86_feature_detected!` confirmed the feature
@@ -16,188 +16,201 @@
 
 use std::arch::x86_64::*;
 
-use super::Ops;
+use super::{const_mul, Ops};
 use crate::gf256::Gf256;
 
-pub(super) static SSSE3_OPS: Ops = Ops {
-    mul: super::MulFn(mul_slice_ssse3_entry),
-    mul_add: super::MulFn(mul_add_slice_ssse3_entry),
-    scale: super::ScaleFn(scale_slice_ssse3_entry),
-};
-
 pub(super) static AVX2_OPS: Ops = Ops {
-    mul: super::MulFn(mul_slice_avx2_entry),
-    mul_add: super::MulFn(mul_add_slice_avx2_entry),
-    scale: super::ScaleFn(scale_slice_avx2_entry),
+    mul: mul_slice_avx2_entry,
+    scale: scale_slice_avx2_entry,
+    mul_add_rows: mul_add_rows_avx2_entry,
 };
 
-/// The two 16-entry partial-product tables for coefficient `c`.
-#[inline]
-fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
-    let row = Gf256::mul_row(c);
-    let mut lo = [0u8; 16];
-    let mut hi = [0u8; 16];
-    for i in 0..16 {
-        lo[i] = row[i];
-        hi[i] = row[i << 4];
+/// The two 16-entry partial-product tables of every coefficient, low
+/// nibble first: `NIBBLES[c][i] = c·i`, `NIBBLES[c][16 + i] = c·(i << 4)`
+/// (8 KiB, built at compile time).
+static NIBBLES: [[u8; 32]; 256] = {
+    let mut table = [[0u8; 32]; 256];
+    let mut c = 0;
+    while c < 256 {
+        let mut i = 0;
+        while i < 16 {
+            table[c][i] = const_mul(c as u8, i as u8);
+            table[c][16 + i] = const_mul(c as u8, (i as u8) << 4);
+            i += 1;
+        }
+        c += 1;
     }
-    (lo, hi)
+    table
+};
+
+fn mul_slice_avx2_entry(dst: &mut [u8], src: &[u8], c: u8) {
+    assert_eq!(dst.len(), src.len(), "slice length mismatch");
+    // SAFETY: this entry is only installed in `AVX2_OPS`, which the
+    // dispatcher hands out strictly after `is_supported()` returned true
+    // for AVX2 on this CPU; both ranges are `dst.len()` long.
+    unsafe { mul_avx2(dst.as_mut_ptr(), src.as_ptr(), dst.len(), c) }
 }
-
-// ---------------------------------------------------------------- SSSE3
-
-macro_rules! ssse3_entry {
-    ($entry:ident, $inner:ident) => {
-        fn $entry(dst: &mut [u8], src: &[u8], c: u8) {
-            // SAFETY: this entry is only installed in `SSSE3_OPS`, which the
-            // dispatcher hands out strictly after `is_supported()` returned
-            // true for SSSE3 on this CPU.
-            unsafe { $inner(dst, src, c) }
-        }
-    };
-}
-
-ssse3_entry!(mul_slice_ssse3_entry, mul_slice_ssse3);
-ssse3_entry!(mul_add_slice_ssse3_entry, mul_add_slice_ssse3);
-
-fn scale_slice_ssse3_entry(dst: &mut [u8], c: u8) {
-    // SAFETY: see `ssse3_entry!` — feature presence is established by the
-    // dispatcher before this pointer is reachable.
-    unsafe { scale_slice_ssse3(dst, c) }
-}
-
-/// One 16-lane product: `pshufb(lo_tbl, v & 0xF) ^ pshufb(hi_tbl, v >> 4)`.
-#[inline(always)]
-unsafe fn mul16(v: __m128i, lo_tbl: __m128i, hi_tbl: __m128i, low_mask: __m128i) -> __m128i {
-    let lo = _mm_and_si128(v, low_mask);
-    let hi = _mm_and_si128(_mm_srli_epi64::<4>(v), low_mask);
-    _mm_xor_si128(_mm_shuffle_epi8(lo_tbl, lo), _mm_shuffle_epi8(hi_tbl, hi))
-}
-
-macro_rules! ssse3_kernel {
-    ($name:ident, $tail:ident, |$acc:ident, $prod:ident| $combine:expr) => {
-        #[target_feature(enable = "ssse3")]
-        unsafe fn $name(dst: &mut [u8], src: &[u8], c: u8) {
-            let (lo, hi) = nibble_tables(c);
-            let lo_tbl = _mm_loadu_si128(lo.as_ptr().cast());
-            let hi_tbl = _mm_loadu_si128(hi.as_ptr().cast());
-            let low_mask = _mm_set1_epi8(0x0F);
-            let split = dst.len() - dst.len() % 16;
-            let (dst_body, dst_tail) = dst.split_at_mut(split);
-            let (src_body, src_tail) = src.split_at(split);
-            for (d, s) in dst_body.chunks_exact_mut(16).zip(src_body.chunks_exact(16)) {
-                let $prod = mul16(_mm_loadu_si128(s.as_ptr().cast()), lo_tbl, hi_tbl, low_mask);
-                let $acc = _mm_loadu_si128(d.as_ptr().cast());
-                _mm_storeu_si128(d.as_mut_ptr().cast(), $combine);
-            }
-            super::scalar::$tail(dst_tail, src_tail, c);
-        }
-    };
-}
-
-ssse3_kernel!(mul_slice_ssse3, mul_slice, |_acc, prod| prod);
-ssse3_kernel!(mul_add_slice_ssse3, mul_add_slice, |acc, prod| {
-    _mm_xor_si128(acc, prod)
-});
-
-#[target_feature(enable = "ssse3")]
-unsafe fn scale_slice_ssse3(dst: &mut [u8], c: u8) {
-    let (lo, hi) = nibble_tables(c);
-    let lo_tbl = _mm_loadu_si128(lo.as_ptr().cast());
-    let hi_tbl = _mm_loadu_si128(hi.as_ptr().cast());
-    let low_mask = _mm_set1_epi8(0x0F);
-    let split = dst.len() - dst.len() % 16;
-    let (body, tail) = dst.split_at_mut(split);
-    for d in body.chunks_exact_mut(16) {
-        let prod = mul16(_mm_loadu_si128(d.as_ptr().cast()), lo_tbl, hi_tbl, low_mask);
-        _mm_storeu_si128(d.as_mut_ptr().cast(), prod);
-    }
-    super::scalar::scale_slice(tail, c);
-}
-
-// ----------------------------------------------------------------- AVX2
-
-macro_rules! avx2_entry {
-    ($entry:ident, $inner:ident) => {
-        fn $entry(dst: &mut [u8], src: &[u8], c: u8) {
-            // SAFETY: this entry is only installed in `AVX2_OPS`, which the
-            // dispatcher hands out strictly after `is_supported()` returned
-            // true for AVX2 on this CPU.
-            unsafe { $inner(dst, src, c) }
-        }
-    };
-}
-
-avx2_entry!(mul_slice_avx2_entry, mul_slice_avx2);
-avx2_entry!(mul_add_slice_avx2_entry, mul_add_slice_avx2);
 
 fn scale_slice_avx2_entry(dst: &mut [u8], c: u8) {
-    // SAFETY: see `avx2_entry!` — feature presence is established by the
-    // dispatcher before this pointer is reachable.
-    unsafe { scale_slice_avx2(dst, c) }
+    let p = dst.as_mut_ptr();
+    // SAFETY: see `mul_slice_avx2_entry`; source and destination are the
+    // same range, and each step loads before it stores.
+    unsafe { mul_avx2(p, p, dst.len(), c) }
 }
 
-/// One 32-lane product via `vpshufb` on broadcast nibble tables.
+fn mul_add_rows_avx2_entry(out: &mut [u8], coeffs: &[u8], rows: &[&[u8]]) {
+    assert!(
+        rows.iter().all(|row| row.len() == out.len()),
+        "slice length mismatch"
+    );
+    // SAFETY: see `mul_slice_avx2_entry`; every row is as long as `out`.
+    unsafe { mul_add_rows_avx2(out, coeffs, rows) }
+}
+
+/// Bytes of `out` one fused pass keeps in registers (four ymm
+/// accumulators).
+const BLOCK: usize = 128;
+
+/// # Safety
+///
+/// The CPU must support AVX; `p` must be valid for 32 bytes.
 #[inline(always)]
-unsafe fn mul32(v: __m256i, lo_tbl: __m256i, hi_tbl: __m256i, low_mask: __m256i) -> __m256i {
-    let lo = _mm256_and_si256(v, low_mask);
-    let hi = _mm256_and_si256(_mm256_srli_epi64::<4>(v), low_mask);
-    _mm256_xor_si256(
-        _mm256_shuffle_epi8(lo_tbl, lo),
-        _mm256_shuffle_epi8(hi_tbl, hi),
-    )
+unsafe fn load(p: *const u8) -> __m256i {
+    _mm256_loadu_si256(p.cast())
 }
 
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn broadcast_tables(c: u8) -> (__m256i, __m256i, __m256i) {
-    let (lo, hi) = nibble_tables(c);
-    let lo_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-    let hi_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-    (lo_tbl, hi_tbl, _mm256_set1_epi8(0x0F))
+/// # Safety
+///
+/// The CPU must support AVX; `p` must be valid for 32 bytes of writes.
+#[inline(always)]
+unsafe fn store(p: *mut u8, v: __m256i) {
+    _mm256_storeu_si256(p.cast(), v)
 }
 
-macro_rules! avx2_kernel {
-    ($name:ident, $tail:ident, |$acc:ident, $prod:ident| $combine:expr) => {
-        #[target_feature(enable = "avx2")]
-        unsafe fn $name(dst: &mut [u8], src: &[u8], c: u8) {
-            let (lo_tbl, hi_tbl, low_mask) = broadcast_tables(c);
-            let split = dst.len() - dst.len() % 32;
-            let (dst_body, dst_tail) = dst.split_at_mut(split);
-            let (src_body, src_tail) = src.split_at(split);
-            for (d, s) in dst_body.chunks_exact_mut(32).zip(src_body.chunks_exact(32)) {
-                let $prod = mul32(
-                    _mm256_loadu_si256(s.as_ptr().cast()),
-                    lo_tbl,
-                    hi_tbl,
-                    low_mask,
-                );
-                let $acc = _mm256_loadu_si256(d.as_ptr().cast());
-                _mm256_storeu_si256(d.as_mut_ptr().cast(), $combine);
-            }
-            super::scalar::$tail(dst_tail, src_tail, c);
-        }
-    };
+/// The broadcast nibble tables of `c` plus the low-nibble mask.
+#[derive(Clone, Copy)]
+struct Tables {
+    lo: __m256i,
+    hi: __m256i,
+    low_mask: __m256i,
 }
 
-avx2_kernel!(mul_slice_avx2, mul_slice, |_acc, prod| prod);
-avx2_kernel!(mul_add_slice_avx2, mul_add_slice, |acc, prod| {
-    _mm256_xor_si256(acc, prod)
-});
-
-#[target_feature(enable = "avx2")]
-unsafe fn scale_slice_avx2(dst: &mut [u8], c: u8) {
-    let (lo_tbl, hi_tbl, low_mask) = broadcast_tables(c);
-    let split = dst.len() - dst.len() % 32;
-    let (body, tail) = dst.split_at_mut(split);
-    for d in body.chunks_exact_mut(32) {
-        let prod = mul32(
-            _mm256_loadu_si256(d.as_ptr().cast()),
-            lo_tbl,
-            hi_tbl,
-            low_mask,
-        );
-        _mm256_storeu_si256(d.as_mut_ptr().cast(), prod);
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[inline(always)]
+unsafe fn tables(c: u8) -> Tables {
+    let t = NIBBLES[c as usize].as_ptr();
+    Tables {
+        lo: _mm256_broadcastsi128_si256(_mm_loadu_si128(t.cast())),
+        hi: _mm256_broadcastsi128_si256(_mm_loadu_si128(t.add(16).cast())),
+        low_mask: _mm256_set1_epi8(0x0F),
     }
-    super::scalar::scale_slice(tail, c);
+}
+
+/// One 32-lane product: `vpshufb(lo, v & 0xF) ^ vpshufb(hi, v >> 4)`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[inline(always)]
+unsafe fn mul32(v: __m256i, t: Tables) -> __m256i {
+    let lo = _mm256_and_si256(v, t.low_mask);
+    let hi = _mm256_and_si256(_mm256_srli_epi64::<4>(v), t.low_mask);
+    _mm256_xor_si256(_mm256_shuffle_epi8(t.lo, lo), _mm256_shuffle_epi8(t.hi, hi))
+}
+
+/// `acc ^= c * src[0..32]`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2; `src` must be valid for 32 bytes.
+#[inline(always)]
+unsafe fn mul_xor(acc: __m256i, src: *const u8, t: Tables) -> __m256i {
+    _mm256_xor_si256(acc, mul32(load(src), t))
+}
+
+/// `dst[..len] = c * src[..len]`; `dst` may equal `src`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and both pointers must be valid for `len`
+/// bytes (`dst` for writes).
+#[target_feature(enable = "avx2")]
+unsafe fn mul_avx2(dst: *mut u8, src: *const u8, len: usize, c: u8) {
+    let t = tables(c);
+    let mut i = 0;
+    while i + 32 <= len {
+        store(dst.add(i), mul32(load(src.add(i)), t));
+        i += 32;
+    }
+    let row = Gf256::mul_row(c);
+    while i < len {
+        *dst.add(i) = row[*src.add(i) as usize];
+        i += 1;
+    }
+}
+
+/// The fused kernel: every `BLOCK`-byte block of `out` is loaded once,
+/// accumulates `coeffs[i] * rows[i]` for every row, and is stored once;
+/// the remainder runs in 32-byte steps and a per-byte table tail.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and every row must be at least `out.len()`
+/// bytes long.
+#[target_feature(enable = "avx2")]
+unsafe fn mul_add_rows_avx2(out: &mut [u8], coeffs: &[u8], rows: &[&[u8]]) {
+    let len = out.len();
+    let dst = out.as_mut_ptr();
+    let mut i = 0;
+    while i + BLOCK <= len {
+        let mut a0 = load(dst.add(i));
+        let mut a1 = load(dst.add(i + 32));
+        let mut a2 = load(dst.add(i + 64));
+        let mut a3 = load(dst.add(i + 96));
+        for (&c, row) in coeffs.iter().zip(rows) {
+            let t = tables(c);
+            let s = row.as_ptr().add(i);
+            a0 = mul_xor(a0, s, t);
+            a1 = mul_xor(a1, s.add(32), t);
+            a2 = mul_xor(a2, s.add(64), t);
+            a3 = mul_xor(a3, s.add(96), t);
+        }
+        store(dst.add(i), a0);
+        store(dst.add(i + 32), a1);
+        store(dst.add(i + 64), a2);
+        store(dst.add(i + 96), a3);
+        i += BLOCK;
+    }
+    while i + 32 <= len {
+        let mut a = load(dst.add(i));
+        for (&c, row) in coeffs.iter().zip(rows) {
+            a = mul_xor(a, row.as_ptr().add(i), tables(c));
+        }
+        store(dst.add(i), a);
+        i += 32;
+    }
+    if i < len {
+        for (&c, row) in coeffs.iter().zip(rows) {
+            super::scalar::mul_add_slice(&mut out[i..], &row[i..], c);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nibble_tables_are_the_multiplication_map() {
+        for c in 0..=255u8 {
+            let t = &NIBBLES[c as usize];
+            let row = Gf256::mul_row(c);
+            for x in 0..=255u8 {
+                let split = t[(x & 0x0F) as usize] ^ t[16 + (x >> 4) as usize];
+                assert_eq!(split, row[x as usize], "c={c} x={x}");
+            }
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //! * the [`Field`] trait abstracting over all of them;
 //! * [`bulk`] — slice kernels (`mul_slice`, `mul_add_slice`, ...) used by the
 //!   encoder/decoder/recoder inner loops, with runtime-dispatched
-//!   scalar/SWAR/SSSE3/AVX2 tiers (see [`bulk::KernelTier`]);
+//!   scalar/SWAR/AVX2/GFNI tiers (see [`bulk::KernelTier`]);
 //! * [`Matrix`] — a dense matrix over any [`Field`] with Gaussian
 //!   elimination, rank and inversion, used by the RLNC decoder and by tests.
 //!

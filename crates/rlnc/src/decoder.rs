@@ -5,6 +5,7 @@ use ncvnf_gf256::{Field, Gf256};
 
 use crate::config::GenerationConfig;
 use crate::error::CodecError;
+use crate::row::AlignedRow;
 
 /// Result of feeding one coded packet to a [`GenerationDecoder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +24,9 @@ pub enum ReceiveOutcome {
 /// Decodes one generation from coded packets, incrementally.
 ///
 /// The decoder keeps the received coefficient vectors in reduced row
-/// echelon form, applying every row operation to the payloads in lockstep.
+/// echelon form and applies the same row operations to the payloads: an
+/// incoming packet is reduced on its coefficients first, and the payload
+/// side follows in one fused pass only if the packet is innovative.
 /// Decoding finishes as soon as `g` linearly independent packets have been
 /// absorbed — "the data can be successfully recovered as long as sufficient
 /// number of packets are received" — regardless of order, duplication or
@@ -33,14 +36,17 @@ pub struct GenerationDecoder {
     config: GenerationConfig,
     /// Coefficient rows in RREF. `rows[i]` pairs with `payloads[i]`.
     coeff_rows: Vec<Vec<u8>>,
-    payloads: Vec<Vec<u8>>,
+    payloads: Vec<AlignedRow>,
     /// `pivot_of_col[c] = Some(row)` if column `c` is a pivot column.
     pivot_of_col: Vec<Option<usize>>,
     /// Reusable elimination workspace — incoming packets are reduced here
     /// so redundant packets (the common case past full rank) cost no heap
     /// allocation.
     coeff_scratch: Vec<u8>,
-    data_scratch: Vec<u8>,
+    data_scratch: AlignedRow,
+    /// `factors[row]`: the multiple of buffered row `row` the incoming
+    /// packet is reduced by (coefficient-first elimination).
+    factors: Vec<u8>,
     /// Count of packets seen (innovative + redundant), for stats.
     packets_seen: u64,
 }
@@ -54,7 +60,8 @@ impl GenerationDecoder {
             payloads: Vec::with_capacity(config.blocks_per_generation()),
             pivot_of_col: vec![None; config.blocks_per_generation()],
             coeff_scratch: vec![0u8; config.blocks_per_generation()],
-            data_scratch: vec![0u8; config.block_size()],
+            data_scratch: AlignedRow::zeroed(config.block_size()),
+            factors: vec![0u8; config.blocks_per_generation()],
             packets_seen: 0,
         }
     }
@@ -123,12 +130,8 @@ impl GenerationDecoder {
                 None => {
                     self.coeff_scratch.fill(0);
                     self.coeff_scratch[col] = 1;
-                    self.data_scratch.copy_from_slice(payload);
-                    let c = coefficients[col];
-                    if c != 1 {
-                        let inv = Gf256::new(c).inv().value();
-                        bulk::scale_slice(&mut self.data_scratch, inv);
-                    }
+                    let inv = Gf256::new(coefficients[col]).inv().value();
+                    bulk::mul_slice(&mut self.data_scratch, payload, inv);
                     self.install_scratch_row(col);
                     return Ok(ReceiveOutcome::Innovative { rank: self.rank() });
                 }
@@ -139,27 +142,27 @@ impl GenerationDecoder {
             }
         }
 
-        // Reduce into the reusable scratch row: redundant packets never
-        // touch the heap, innovative ones (at most `g` per generation) are
-        // copied out of the scratch when installed.
-        self.coeff_scratch.copy_from_slice(coefficients);
-        self.data_scratch.copy_from_slice(payload);
-
-        // Eliminate every pivot column from the incoming row (pivot rows
-        // are normalized to 1 at their pivot, so the factor is the entry
-        // itself). The first nonzero entry in a pivot-free column becomes
+        // Coefficient-first elimination. Eliminate every pivot column
+        // from the g-byte coefficient row alone (pivot rows are
+        // normalized to 1 at their pivot, so the factor is the entry
+        // itself) and record the factor each buffered row is applied
+        // with. The first nonzero entry in a pivot-free column becomes
         // the new pivot; later pivot columns must still be eliminated to
-        // keep the matrix fully reduced.
+        // keep the matrix fully reduced. The factors depend only on
+        // coefficients, so a redundant packet costs no payload work.
+        let rank = self.rank();
+        self.coeff_scratch.copy_from_slice(coefficients);
+        self.factors[..rank].fill(0);
         let mut new_pivot = None;
         for col in 0..g {
-            if self.coeff_scratch[col] == 0 {
+            let factor = self.coeff_scratch[col];
+            if factor == 0 {
                 continue;
             }
             match self.pivot_of_col[col] {
                 Some(row) => {
-                    let factor = self.coeff_scratch[col];
                     bulk::mul_add_slice(&mut self.coeff_scratch, &self.coeff_rows[row], factor);
-                    bulk::mul_add_slice(&mut self.data_scratch, &self.payloads[row], factor);
+                    self.factors[row] = factor;
                     debug_assert_eq!(self.coeff_scratch[col], 0);
                 }
                 None => {
@@ -172,9 +175,17 @@ impl GenerationDecoder {
         let Some(col) = new_pivot else {
             return Ok(ReceiveOutcome::Redundant);
         };
+        // Normalize, then build the payload row in one fused pass:
+        // `inv·payload ⊕ Σ (inv·factor)·row`.
         let inv = Gf256::new(self.coeff_scratch[col]).inv().value();
         bulk::scale_slice(&mut self.coeff_scratch, inv);
-        bulk::scale_slice(&mut self.data_scratch, inv);
+        bulk::scale_slice(&mut self.factors[..rank], inv);
+        bulk::mul_slice(&mut self.data_scratch, payload, inv);
+        bulk::mul_add_rows(
+            &mut self.data_scratch,
+            &self.factors[..rank],
+            &self.payloads,
+        );
         self.install_scratch_row(col);
         Ok(ReceiveOutcome::Innovative { rank: self.rank() })
     }
@@ -194,6 +205,25 @@ impl GenerationDecoder {
         self.coeff_rows.push(self.coeff_scratch.clone());
         self.payloads.push(self.data_scratch.clone());
         self.pivot_of_col[col] = Some(new_row);
+    }
+
+    /// The buffered `(coefficients, payload)` rows in reduced row echelon
+    /// form, in the order they were installed (each pivot entry is 1).
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (&[u8], &[u8])> {
+        self.coeff_rows
+            .iter()
+            .zip(&self.payloads)
+            .map(|(c, p)| (c.as_slice(), &**p))
+    }
+
+    /// The index (into [`rows`](Self::rows)) of the row whose pivot is
+    /// column `col`, or `None` while that column has no pivot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col >= blocks_per_generation`.
+    pub fn pivot_row(&self, col: usize) -> Option<usize> {
+        self.pivot_of_col[col]
     }
 
     /// Columns (block indices) that have no pivot yet. With a systematic
@@ -226,7 +256,7 @@ impl GenerationDecoder {
         Ok(self
             .pivot_of_col
             .iter()
-            .map(|p| self.payloads[p.expect("full rank implies all pivots present")].as_slice())
+            .map(|p| &*self.payloads[p.expect("full rank implies all pivots present")])
             .collect())
     }
 

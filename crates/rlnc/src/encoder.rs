@@ -131,7 +131,7 @@ impl GenerationEncoder {
             }
         }
         let mut payload = pool.checkout_zeroed(self.config.block_size());
-        self.combine_into(&coefficients, &mut payload);
+        bulk::mul_add_rows(&mut payload, &coefficients, &self.blocks);
         CodedPacket::new(
             NcHeader {
                 session,
@@ -247,10 +247,11 @@ impl GenerationEncoder {
         for j in (g - d)..g {
             let t = rng.gen_range(0..=j);
             let pos = if coefficients[t] != 0 { j } else { t };
-            let c = rng.gen_range(1..=255u8);
-            coefficients[pos] = c;
-            bulk::mul_add_slice(&mut payload, &self.blocks[pos], c);
+            coefficients[pos] = rng.gen_range(1..=255u8);
         }
+        // The unchosen blocks keep coefficient zero, which the fused
+        // combination skips without reading them.
+        bulk::mul_add_rows(&mut payload, &coefficients, &self.blocks);
         CodedPacket::new(
             NcHeader {
                 session,
@@ -312,15 +313,6 @@ impl GenerationEncoder {
         }
     }
 
-    /// Computes `Σ coefficients[i] * block[i]` into `out` (which must be
-    /// `block_size` long; prior contents are overwritten).
-    fn combine_into(&self, coefficients: &[u8], out: &mut [u8]) {
-        out.fill(0);
-        for (&c, block) in coefficients.iter().zip(self.blocks.iter()) {
-            bulk::mul_add_slice(out, block, c);
-        }
-    }
-
     /// Borrow of the padded original blocks (used by tests and the object
     /// layer).
     pub fn blocks(&self) -> &[Vec<u8>] {
@@ -336,6 +328,16 @@ mod tests {
 
     fn cfg() -> GenerationConfig {
         GenerationConfig::new(16, 4).unwrap()
+    }
+
+    /// `Σ coefficients[i] * block[i]`, one single-row pass per block (an
+    /// independent path from the encoder's fused combination).
+    fn manual_combination(enc: &GenerationEncoder, coefficients: &[u8]) -> Vec<u8> {
+        let mut expect = vec![0u8; 16];
+        for (&c, block) in coefficients.iter().zip(enc.blocks()) {
+            bulk::mul_add_slice(&mut expect, block, c);
+        }
+        expect
     }
 
     #[test]
@@ -374,10 +376,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let pkt = enc.coded_packet(SessionId::new(1), 3, &mut rng);
         assert_eq!(pkt.generation(), 3);
-        let mut expect = vec![0u8; 16];
-        let rows: Vec<&[u8]> = enc.blocks().iter().map(|b| b.as_slice()).collect();
-        bulk::linear_combine(&mut expect, pkt.coefficients(), &rows);
-        assert_eq!(pkt.payload(), expect.as_slice());
+        assert_eq!(pkt.payload(), manual_combination(&enc, pkt.coefficients()));
     }
 
     #[test]
@@ -400,10 +399,7 @@ mod tests {
         enc.coded_packets_into(SessionId::new(2), 1, 8, &mut rng, &mut pool, &mut out);
         assert_eq!(out.len(), 8);
         for pkt in &out {
-            let mut expect = vec![0u8; 16];
-            let rows: Vec<&[u8]> = enc.blocks().iter().map(|b| b.as_slice()).collect();
-            bulk::linear_combine(&mut expect, pkt.coefficients(), &rows);
-            assert_eq!(pkt.payload(), expect.as_slice());
+            assert_eq!(pkt.payload(), manual_combination(&enc, pkt.coefficients()));
         }
         for pkt in out.drain(..) {
             assert_eq!(pool.recycle(pkt), 2);

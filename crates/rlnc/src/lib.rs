@@ -52,6 +52,7 @@ mod pool;
 mod rank;
 mod recoder;
 mod redundancy;
+mod row;
 pub mod seeded;
 pub mod window;
 

@@ -8,6 +8,7 @@ use crate::config::{CodingMode, GenerationConfig};
 use crate::error::CodecError;
 use crate::header::{CodedPacket, NcHeader, SessionId};
 use crate::pool::PayloadPool;
+use crate::row::AlignedRow;
 
 /// Recodes coded packets of one generation inside the network.
 ///
@@ -25,11 +26,14 @@ pub struct Recoder {
     /// Buffered (coefficient, payload) rows. Only linearly independent rows
     /// are retained to bound memory and maximize the innovation of outputs.
     coeff_rows: Vec<Vec<u8>>,
-    payloads: Vec<Vec<u8>>,
+    payloads: Vec<AlignedRow>,
     /// Reusable elimination workspace — incoming packets are reduced here
     /// so the per-packet path performs no heap allocation.
     coeff_scratch: Vec<u8>,
-    data_scratch: Vec<u8>,
+    data_scratch: AlignedRow,
+    /// `factors[row]`: the multiple of buffered row `row` the incoming
+    /// packet is reduced by (coefficient-first elimination).
+    factors: Vec<u8>,
     /// Reusable local mixing weights for [`recode_into`](Self::recode_into).
     weights_scratch: Vec<u8>,
     packets_in: u64,
@@ -46,7 +50,8 @@ impl Recoder {
             coeff_rows: Vec::with_capacity(config.blocks_per_generation()),
             payloads: Vec::with_capacity(config.blocks_per_generation()),
             coeff_scratch: vec![0u8; config.blocks_per_generation()],
-            data_scratch: vec![0u8; config.block_size()],
+            data_scratch: AlignedRow::zeroed(config.block_size()),
+            factors: vec![0u8; config.blocks_per_generation()],
             weights_scratch: Vec::with_capacity(config.blocks_per_generation()),
             packets_in: 0,
             packets_out: 0,
@@ -66,6 +71,15 @@ impl Recoder {
     /// Number of linearly independent packets buffered.
     pub fn rank(&self) -> usize {
         self.coeff_rows.len()
+    }
+
+    /// The buffered `(coefficients, payload)` rows in row echelon form,
+    /// sorted by leading index.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (&[u8], &[u8])> {
+        self.coeff_rows
+            .iter()
+            .zip(&self.payloads)
+            .map(|(c, p)| (c.as_slice(), &**p))
     }
 
     /// Packets absorbed so far.
@@ -103,22 +117,33 @@ impl Recoder {
         if self.rank() == g {
             return Ok(false);
         }
-        // Gaussian elimination against the buffer to test innovation. Runs
-        // in the reusable scratch rows; only an innovative packet (at most
-        // `g` per generation) is copied out of them into the buffer.
+        // Gaussian elimination against the buffer to test innovation, on
+        // the coefficients first: each factor depends only on the g-byte
+        // coefficient rows, so a redundant packet costs no payload work
+        // and an innovative one applies every factor in one fused payload
+        // pass. Runs in the reusable scratch rows; only an innovative
+        // packet (at most `g` per generation) is copied out of them into
+        // the buffer.
+        let rank = self.coeff_rows.len();
         self.coeff_scratch.copy_from_slice(coefficients);
-        self.data_scratch.copy_from_slice(payload);
-        for row in 0..self.coeff_rows.len() {
+        for row in 0..rank {
             let lead = leading_index(&self.coeff_rows[row]).expect("buffered rows are nonzero");
-            if self.coeff_scratch[lead] != 0 {
-                let factor = mul_div(self.coeff_scratch[lead], self.coeff_rows[row][lead]);
-                bulk::mul_add_slice(&mut self.coeff_scratch, &self.coeff_rows[row], factor);
-                bulk::mul_add_slice(&mut self.data_scratch, &self.payloads[row], factor);
-            }
+            let factor = match self.coeff_scratch[lead] {
+                0 => 0,
+                entry => mul_div(entry, self.coeff_rows[row][lead]),
+            };
+            self.factors[row] = factor;
+            bulk::mul_add_slice(&mut self.coeff_scratch, &self.coeff_rows[row], factor);
         }
         if self.coeff_scratch.iter().all(|&c| c == 0) {
             return Ok(false);
         }
+        self.data_scratch.copy_from_slice(payload);
+        bulk::mul_add_rows(
+            &mut self.data_scratch,
+            &self.factors[..rank],
+            &self.payloads,
+        );
         // Keep rows sorted by leading index so elimination stays triangular.
         self.coeff_rows.push(self.coeff_scratch.clone());
         self.payloads.push(self.data_scratch.clone());
@@ -195,10 +220,8 @@ impl Recoder {
         }
         let mut coefficients = pool.checkout_zeroed(g);
         let mut payload = pool.checkout_zeroed(self.config.block_size());
-        for (i, &w) in self.weights_scratch.iter().enumerate() {
-            bulk::mul_add_slice(&mut coefficients, &self.coeff_rows[i], w);
-            bulk::mul_add_slice(&mut payload, &self.payloads[i], w);
-        }
+        bulk::mul_add_rows(&mut coefficients, &self.weights_scratch, &self.coeff_rows);
+        bulk::mul_add_rows(&mut payload, &self.weights_scratch, &self.payloads);
         self.packets_out += 1;
         Ok(CodedPacket::new(
             NcHeader {
@@ -238,17 +261,17 @@ impl Recoder {
         let mut coefficients = pool.checkout_zeroed(g);
         let mut payload = pool.checkout_zeroed(self.config.block_size());
         // Floyd's sampling: d distinct row indices, weights recorded in
-        // the scratch so duplicates are detectable.
+        // the scratch so duplicates are detectable; the unchosen rows keep
+        // weight zero, which the fused combination skips.
         self.weights_scratch.clear();
         self.weights_scratch.resize(n, 0);
         for j in (n - d)..n {
             let t = rng.gen_range(0..=j);
             let row = if self.weights_scratch[t] != 0 { j } else { t };
-            let w = rng.gen_range(1..=255u8);
-            self.weights_scratch[row] = w;
-            bulk::mul_add_slice(&mut coefficients, &self.coeff_rows[row], w);
-            bulk::mul_add_slice(&mut payload, &self.payloads[row], w);
+            self.weights_scratch[row] = rng.gen_range(1..=255u8);
         }
+        bulk::mul_add_rows(&mut coefficients, &self.weights_scratch, &self.coeff_rows);
+        bulk::mul_add_rows(&mut payload, &self.weights_scratch, &self.payloads);
         self.packets_out += 1;
         Ok(CodedPacket::new(
             NcHeader {

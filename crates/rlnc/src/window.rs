@@ -63,6 +63,7 @@ use ncvnf_gf256::{Field, Gf256};
 use crate::error::CodecError;
 use crate::header::{SessionId, WindowPacket};
 use crate::pool::PayloadPool;
+use crate::row::AlignedRow;
 
 /// Layout of a windowed stream: symbol size in bytes and the maximum
 /// number of in-flight (unacknowledged) symbols.
@@ -123,7 +124,7 @@ pub struct WindowEncoder {
     /// Absolute index of the oldest live symbol.
     base: u64,
     /// Live symbols, `base` first; each exactly `symbol_size` long.
-    symbols: VecDeque<Vec<u8>>,
+    symbols: VecDeque<AlignedRow>,
 }
 
 impl WindowEncoder {
@@ -177,7 +178,7 @@ impl WindowEncoder {
                 actual: data.len(),
             });
         }
-        let mut symbol = vec![0u8; self.config.symbol_size()];
+        let mut symbol = AlignedRow::zeroed(self.config.symbol_size());
         symbol[..data.len()].copy_from_slice(data);
         self.symbols.push_back(symbol);
         Ok(self.base + self.symbols.len() as u64 - 1)
@@ -242,9 +243,7 @@ impl WindowEncoder {
             }
         }
         let mut payload = pool.checkout_zeroed(self.config.symbol_size());
-        for (&c, symbol) in coefficients.iter().zip(self.symbols.iter()) {
-            bulk::mul_add_slice(&mut payload, symbol, c);
-        }
+        mul_add_deque(&mut payload, &coefficients, &self.symbols);
         Ok(WindowPacket {
             session: self.session,
             base: self.base,
@@ -310,15 +309,21 @@ pub struct WindowDecoder {
     delivered: u64,
     /// Recently delivered symbols, oldest first; the retained lookback
     /// for packets whose window still covers delivered columns.
-    history: VecDeque<Vec<u8>>,
+    history: VecDeque<AlignedRow>,
     /// RREF rows over columns `delivered..delivered + capacity`,
     /// relative to `delivered`.
     rows: Vec<Vec<u8>>,
-    payloads: Vec<Vec<u8>>,
+    payloads: Vec<AlignedRow>,
     /// `pivot_of[c] = Some(row)` if relative column `c` is a pivot.
     pivot_of: Vec<Option<usize>>,
     coeff_scratch: Vec<u8>,
-    data_scratch: Vec<u8>,
+    data_scratch: AlignedRow,
+    /// `factors[row]`: the multiple of RREF row `row` the incoming packet
+    /// is reduced by (coefficient-first elimination).
+    factors: Vec<u8>,
+    /// `history_factors[i]`: the multiple of `history[i]` the incoming
+    /// packet carries.
+    history_factors: Vec<u8>,
     packets_seen: u64,
 }
 
@@ -333,7 +338,9 @@ impl WindowDecoder {
             payloads: Vec::new(),
             pivot_of: vec![None; config.capacity()],
             coeff_scratch: vec![0u8; config.capacity()],
-            data_scratch: vec![0u8; config.symbol_size()],
+            data_scratch: AlignedRow::zeroed(config.symbol_size()),
+            factors: vec![0u8; config.capacity()],
+            history_factors: Vec::with_capacity(config.capacity()),
             packets_seen: 0,
         }
     }
@@ -397,11 +404,12 @@ impl WindowDecoder {
         self.packets_seen += 1;
 
         // Align the packet onto the matrix columns: contributions from
-        // already-delivered symbols are subtracted using the retained
+        // already-delivered symbols are recorded against the retained
         // history; live columns land in the scratch row.
         let floor = self.delivered - self.history.len() as u64;
         self.coeff_scratch.fill(0);
-        self.data_scratch.copy_from_slice(payload);
+        self.history_factors.clear();
+        self.history_factors.resize(self.history.len(), 0);
         let mut live_mass = false;
         for (i, &c) in coefficients.iter().enumerate() {
             if c == 0 {
@@ -412,8 +420,7 @@ impl WindowDecoder {
                 return Ok(WindowOutcome::Stale);
             }
             if col < self.delivered {
-                let known = &self.history[(col - floor) as usize];
-                bulk::mul_add_slice(&mut self.data_scratch, known, c);
+                self.history_factors[(col - floor) as usize] = c;
             } else {
                 let rel = (col - self.delivered) as usize;
                 if rel >= cap {
@@ -428,17 +435,22 @@ impl WindowDecoder {
             return Ok(WindowOutcome::Redundant);
         }
 
-        // Standard progressive RREF absorb over the relative columns.
+        // Standard progressive RREF absorb over the relative columns, on
+        // the coefficients first (see `GenerationDecoder::receive`): the
+        // payload row is built in one fused pass only once the packet is
+        // known to be innovative.
+        let rank = self.rows.len();
+        self.factors[..rank].fill(0);
         let mut new_pivot = None;
         for col in 0..cap {
-            if self.coeff_scratch[col] == 0 {
+            let factor = self.coeff_scratch[col];
+            if factor == 0 {
                 continue;
             }
             match self.pivot_of[col] {
                 Some(row) => {
-                    let factor = self.coeff_scratch[col];
                     bulk::mul_add_slice(&mut self.coeff_scratch, &self.rows[row], factor);
-                    bulk::mul_add_slice(&mut self.data_scratch, &self.payloads[row], factor);
+                    self.factors[row] = factor;
                 }
                 None => {
                     if new_pivot.is_none() {
@@ -452,7 +464,15 @@ impl WindowDecoder {
         };
         let inv = Gf256::new(self.coeff_scratch[col]).inv().value();
         bulk::scale_slice(&mut self.coeff_scratch, inv);
-        bulk::scale_slice(&mut self.data_scratch, inv);
+        bulk::scale_slice(&mut self.factors[..rank], inv);
+        bulk::scale_slice(&mut self.history_factors, inv);
+        bulk::mul_slice(&mut self.data_scratch, payload, inv);
+        mul_add_deque(&mut self.data_scratch, &self.history_factors, &self.history);
+        bulk::mul_add_rows(
+            &mut self.data_scratch,
+            &self.factors[..rank],
+            &self.payloads,
+        );
         let new_row = self.rows.len();
         for r in 0..new_row {
             let factor = self.rows[r][col];
@@ -478,7 +498,7 @@ impl WindowDecoder {
             if self.history.len() == cap {
                 self.history.pop_front();
             }
-            out.push(payload.clone());
+            out.push(payload.to_vec());
             self.history.push_back(payload);
             self.delivered += 1;
             // Slide every remaining row (and the pivot map) left; the
@@ -502,7 +522,7 @@ impl WindowDecoder {
 
     /// Removes row `row`, fixing up the pivot map, and returns its
     /// payload.
-    fn remove_row(&mut self, row: usize) -> Vec<u8> {
+    fn remove_row(&mut self, row: usize) -> AlignedRow {
         self.rows.remove(row);
         let payload = self.payloads.remove(row);
         for p in self.pivot_of.iter_mut() {
@@ -533,9 +553,12 @@ pub struct WindowRecoder {
     /// Buffered echelon rows relative to `floor` (sorted by leading
     /// index, leading entries normalized to 1).
     rows: Vec<Vec<u8>>,
-    payloads: Vec<Vec<u8>>,
+    payloads: Vec<AlignedRow>,
     coeff_scratch: Vec<u8>,
-    data_scratch: Vec<u8>,
+    data_scratch: AlignedRow,
+    /// `factors[row]`: the multiple of buffered row `row` the incoming
+    /// packet is reduced by (coefficient-first elimination).
+    factors: Vec<u8>,
     weights_scratch: Vec<u8>,
     packets_in: u64,
     packets_out: u64,
@@ -551,7 +574,8 @@ impl WindowRecoder {
             rows: Vec::new(),
             payloads: Vec::new(),
             coeff_scratch: vec![0u8; config.capacity()],
-            data_scratch: vec![0u8; config.symbol_size()],
+            data_scratch: AlignedRow::zeroed(config.symbol_size()),
+            factors: vec![0u8; config.capacity()],
             weights_scratch: Vec::new(),
             packets_in: 0,
             packets_out: 0,
@@ -674,33 +698,39 @@ impl WindowRecoder {
                 return Ok(false);
             }
         }
-        // Align onto the relative columns and eliminate triangularly.
+        // Align onto the relative columns and eliminate triangularly, on
+        // the coefficients first; the payload follows in one fused pass
+        // only for an innovative packet.
         self.coeff_scratch.fill(0);
-        self.data_scratch.copy_from_slice(payload);
         for (i, &c) in coefficients.iter().enumerate() {
             if c != 0 {
                 let rel = (base + i as u64 - self.floor) as usize;
                 self.coeff_scratch[rel] = c;
             }
         }
-        for row in 0..self.rows.len() {
+        let rank = self.rows.len();
+        for row in 0..rank {
             let lead = self.rows[row]
                 .iter()
                 .position(|&c| c != 0)
                 .expect("buffered rows are nonzero");
+            // Leading entries are normalized to 1 on insert.
             let factor = self.coeff_scratch[lead];
-            if factor != 0 {
-                // Leading entries are normalized to 1 on insert.
-                bulk::mul_add_slice(&mut self.coeff_scratch, &self.rows[row], factor);
-                bulk::mul_add_slice(&mut self.data_scratch, &self.payloads[row], factor);
-            }
+            self.factors[row] = factor;
+            bulk::mul_add_slice(&mut self.coeff_scratch, &self.rows[row], factor);
         }
         let Some(lead) = self.coeff_scratch.iter().position(|&c| c != 0) else {
             return Ok(false);
         };
         let inv = Gf256::new(self.coeff_scratch[lead]).inv().value();
         bulk::scale_slice(&mut self.coeff_scratch, inv);
-        bulk::scale_slice(&mut self.data_scratch, inv);
+        bulk::scale_slice(&mut self.factors[..rank], inv);
+        bulk::mul_slice(&mut self.data_scratch, payload, inv);
+        bulk::mul_add_rows(
+            &mut self.data_scratch,
+            &self.factors[..rank],
+            &self.payloads,
+        );
         self.rows.push(self.coeff_scratch.clone());
         self.payloads.push(self.data_scratch.clone());
         let mut i = self.rows.len() - 1;
@@ -736,10 +766,8 @@ impl WindowRecoder {
         }
         let mut combined = pool.checkout_zeroed(cap);
         let mut payload = pool.checkout_zeroed(self.config.symbol_size());
-        for (i, &w) in self.weights_scratch.iter().enumerate() {
-            bulk::mul_add_slice(&mut combined, &self.rows[i], w);
-            bulk::mul_add_slice(&mut payload, &self.payloads[i], w);
-        }
+        bulk::mul_add_rows(&mut combined, &self.weights_scratch, &self.rows);
+        bulk::mul_add_rows(&mut payload, &self.weights_scratch, &self.payloads);
         // Trim to the populated span so the wire width stays minimal.
         let width = combined.iter().rposition(|&c| c != 0).map_or(1, |p| p + 1);
         combined.resize(width, 0);
@@ -751,6 +779,15 @@ impl WindowRecoder {
             payload: payload.freeze(),
         })
     }
+}
+
+/// `out ^= Σ coeffs[i] * rows[i]` over a deque: one fused pass per
+/// contiguous half of its ring buffer.
+fn mul_add_deque(out: &mut [u8], coeffs: &[u8], rows: &VecDeque<AlignedRow>) {
+    let (front, back) = rows.as_slices();
+    let (front_coeffs, back_coeffs) = coeffs.split_at(front.len());
+    bulk::mul_add_rows(out, front_coeffs, front);
+    bulk::mul_add_rows(out, back_coeffs, back);
 }
 
 fn leading(row: &[u8]) -> usize {

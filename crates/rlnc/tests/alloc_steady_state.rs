@@ -1,4 +1,5 @@
-//! The batch encode and recode paths are allocation-free at steady state.
+//! The batch encode and recode paths, and the decoder's elimination of
+//! non-innovative packets, are allocation-free at steady state.
 //!
 //! A counting global allocator wraps `System`; after a warm-up phase that
 //! fills the [`PayloadPool`] and grows every scratch buffer to its final
@@ -11,9 +12,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ncvnf_gf256::bulk;
 use ncvnf_rlnc::{
-    CodingMode, GenerationConfig, GenerationEncoder, PayloadPool, Recoder, SessionId, WindowConfig,
-    WindowEncoder, WindowRecoder,
+    CodingMode, GenerationConfig, GenerationDecoder, GenerationEncoder, PayloadPool,
+    ReceiveOutcome, Recoder, SessionId, WindowConfig, WindowEncoder, WindowRecoder,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -277,4 +279,142 @@ fn warm_window_emission_and_recode_do_not_allocate() {
         recode_allocs, 0,
         "warm window recode must not touch the heap (256 packets recoded)"
     );
+}
+
+/// The fused multi-row kernel behind dense encode and recode keeps its
+/// row-pointer groups on the stack: at g = 32 (one full row group) and
+/// g = 64 (two groups per coded row) over MTU-sized blocks, warm encode
+/// and recode touch the heap zero times.
+#[test]
+fn warm_fused_encode_and_recode_do_not_allocate_at_large_g() {
+    const BLOCK: usize = 1460;
+    const BATCH: usize = 4;
+
+    for g in [32usize, 64] {
+        let config = GenerationConfig::new(BLOCK, g).expect("valid layout");
+        let mut rng = StdRng::seed_from_u64(0xF05E_0000 ^ g as u64);
+        let mut data = vec![0u8; config.generation_payload()];
+        rng.fill(&mut data[..]);
+        let encoder = GenerationEncoder::new(config, &data).expect("valid generation");
+        let session = SessionId::new(45);
+        let mut pool = PayloadPool::new();
+        let mut out = Vec::with_capacity(BATCH);
+
+        for _ in 0..16 {
+            encoder.coded_packets_into(session, 0, BATCH, &mut rng, &mut pool, &mut out);
+            for pkt in out.drain(..) {
+                pool.recycle(pkt);
+            }
+        }
+        let encode_allocs = heap_ops_during(|| {
+            for _ in 0..32 {
+                encoder.coded_packets_into(session, 0, BATCH, &mut rng, &mut pool, &mut out);
+                for pkt in out.drain(..) {
+                    pool.recycle(pkt);
+                }
+            }
+        });
+        assert_eq!(encode_allocs, 0, "warm fused encode allocated at g={g}");
+
+        let mut recoder = Recoder::new(config, session, 0);
+        while recoder.rank() < g {
+            let pkt = encoder.coded_packet(session, 0, &mut rng);
+            recoder
+                .absorb(pkt.coefficients(), pkt.payload())
+                .expect("layout matches");
+        }
+        for _ in 0..16 {
+            let pkt = recoder.recode_into(&mut rng, &mut pool).expect("non-empty");
+            pool.recycle(pkt);
+        }
+        let recode_allocs = heap_ops_during(|| {
+            for _ in 0..128 {
+                let pkt = recoder.recode_into(&mut rng, &mut pool).expect("non-empty");
+                pool.recycle(pkt);
+            }
+        });
+        assert_eq!(recode_allocs, 0, "warm dense recode allocated at g={g}");
+    }
+}
+
+/// A decoder part-way through a generation eliminates every packet it
+/// receives on the coefficients first, with a preallocated factor
+/// scratch. Non-innovative packets never touch the heap: exact and
+/// scaled duplicates of systematic packets (structured fast path), and
+/// dense combinations of held packets, which run the full elimination
+/// before being found redundant. (An innovative packet copies its
+/// reduced row out of the scratch; that happens at most g times per
+/// generation.)
+#[test]
+fn warm_decoder_elimination_does_not_allocate() {
+    const BLOCK: usize = 1460;
+    const G: usize = 32;
+    const HELD: usize = 24;
+
+    let config = GenerationConfig::new(BLOCK, G).expect("valid layout");
+    let mut rng = StdRng::seed_from_u64(0xDEC0_DE00);
+    let mut data = vec![0u8; config.generation_payload()];
+    rng.fill(&mut data[..]);
+    let encoder = GenerationEncoder::new(config, &data).expect("valid generation");
+    let session = SessionId::new(46);
+    let mut decoder = GenerationDecoder::new(config);
+
+    // Rank HELD < G: a few systematic blocks, the rest dense.
+    let mut held = Vec::new();
+    for i in 0..4 {
+        let pkt = encoder.systematic_packet(session, 0, i);
+        decoder
+            .receive(pkt.coefficients(), pkt.payload())
+            .expect("layout matches");
+        held.push(pkt);
+    }
+    while decoder.rank() < HELD {
+        let pkt = encoder.coded_packet(session, 0, &mut rng);
+        decoder
+            .receive(pkt.coefficients(), pkt.payload())
+            .expect("layout matches");
+        held.push(pkt);
+    }
+
+    // Dependent packets: random combinations of what the decoder holds,
+    // built before measuring.
+    let held_coeffs: Vec<&[u8]> = held.iter().map(|p| p.coefficients()).collect();
+    let held_payloads: Vec<&[u8]> = held.iter().map(|p| p.payload()).collect();
+    let mut dependent = Vec::new();
+    for _ in 0..16 {
+        let weights: Vec<u8> = (0..held.len()).map(|_| rng.gen()).collect();
+        let mut coeffs = vec![0u8; G];
+        let mut payload = vec![0u8; BLOCK];
+        bulk::linear_combine(&mut coeffs, &weights, &held_coeffs);
+        bulk::linear_combine(&mut payload, &weights, &held_payloads);
+        dependent.push((coeffs, payload));
+    }
+    let mut scaled = held[1].coefficients().to_vec();
+    let mut scaled_payload = held[1].payload().to_vec();
+    bulk::scale_slice(&mut scaled, 0x1D);
+    bulk::scale_slice(&mut scaled_payload, 0x1D);
+
+    let rank = decoder.rank();
+    let mut outcomes = Vec::with_capacity(128);
+    let allocs = heap_ops_during(|| {
+        for _ in 0..2 {
+            for (coeffs, payload) in &dependent {
+                outcomes.push(decoder.receive(coeffs, payload).expect("layout"));
+            }
+            for pkt in &held {
+                outcomes.push(
+                    decoder
+                        .receive(pkt.coefficients(), pkt.payload())
+                        .expect("layout"),
+                );
+            }
+            outcomes.push(decoder.receive(&scaled, &scaled_payload).expect("layout"));
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warm decoder elimination must not touch the heap"
+    );
+    assert_eq!(decoder.rank(), rank, "no packet was innovative");
+    assert!(outcomes.iter().all(|o| *o == ReceiveOutcome::Redundant));
 }
